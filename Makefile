@@ -16,8 +16,8 @@ MCKPBENCH = BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve|BenchmarkAdmitdChurn
 MCKPBASE = BenchmarkMCKPBaselineBnB|BenchmarkMCKPBaselineDP
 
 # The fleet-campaign benchmarks tracked in BENCH_9.json: streaming
-# cells (one-pass checker, wheel queues) and the 100k-task on-disk
-# sink endpoint, against the materialize-and-validate baseline.
+# cells (one-pass checker, per-job log discarded) and the 100k-task
+# on-disk sink endpoint, against the materialize-and-validate baseline.
 CAMPBENCH = BenchmarkCampaignCellStreaming|BenchmarkCampaignCellDisk100k
 CAMPBASE = BenchmarkCampaignCellBaseline
 
@@ -54,8 +54,8 @@ lint:
 # Dynamic twin of the //rtlint:hotpath annotations: every hot-path
 # root has a testing.AllocsPerRun gate asserting the warm operation
 # allocates zero times (see DESIGN.md §5.7). Covers the dispatch
-# kernel, the time-wheel calendar, and the binary trace sink's emit
-# path.
+# kernel, the event heap's push/pop/remove cycle, and the binary trace
+# sink's emit path.
 alloc-gate:
 	$(GO) test -count=1 -run 'ZeroAlloc' \
 		./internal/mckp ./internal/sched ./internal/sched/eventq \

@@ -380,7 +380,6 @@ func (c CampaignConfig) runCell(cell int, base chaos.Config) (CellResult, error)
 		Server:            inj,
 		Horizon:           c.Horizon,
 		Policy:            sched.SplitEDF,
-		EventQueue:        sched.AutoQueue,
 		DiscardJobResults: true,
 		TraceSink:         trace.NewStreamChecker(),
 	})

@@ -120,7 +120,6 @@ func (c CampaignConfig) runFleetCell(cell int, base chaos.Config) (CellResult, e
 		Servers:           servers,
 		Horizon:           c.Horizon,
 		Policy:            sched.SplitEDF,
-		EventQueue:        sched.AutoQueue,
 		DiscardJobResults: true,
 		TraceSink:         trace.NewStreamChecker(),
 	})

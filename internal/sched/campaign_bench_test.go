@@ -1,12 +1,12 @@
 package sched
 
 // Campaign-cell benchmarks (BENCH_9): one cell = simulate a fleet and
-// verify its schedule. The pre-PR path materialized the trace and ran
-// the O(segments × subs) Validate; the campaign path streams the trace
-// through the one-pass checker with the per-job log discarded and the
-// time-wheel queues on. Test100kUnderMemoryCeiling is the fixed-memory
-// claim: a 100k-task simulation streaming to the on-disk binary sink
-// must not grow the heap by anything O(horizon).
+// verify its schedule. The baseline path materializes the trace and
+// runs the O(segments × subs) Validate; the campaign path streams the
+// trace through the one-pass checker with the per-job log discarded.
+// Test100kUnderMemoryCeiling is the fixed-memory claim: a 100k-task
+// simulation streaming to the on-disk binary sink must not grow the
+// heap by anything O(horizon).
 
 import (
 	"bufio"
@@ -25,14 +25,13 @@ import (
 // apples.
 const benchCellHorizon = 200 // ms
 
-// benchBaselineCell is the naive pre-PR campaign cell: heap queues,
-// in-memory trace, materialized whole-trace validation.
+// benchBaselineCell is the naive campaign cell: in-memory trace,
+// materialized whole-trace validation.
 func benchBaselineCell(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := fleetConfig(n, 42)
 		cfg.Horizon = rtime.FromMillis(benchCellHorizon)
-		cfg.EventQueue = ForceHeap
 		cfg.RecordTrace = true
 		res, err := Run(cfg)
 		if err != nil {
@@ -44,15 +43,13 @@ func benchBaselineCell(b *testing.B, n int) {
 	}
 }
 
-// benchStreamingCell is the campaign cell after this change: queue
-// mode chosen by AutoQueue (the wheel at these sizes), job log
-// discarded, trace verified one-pass as it streams.
-func benchStreamingCell(b *testing.B, n int, q QueueMode) {
+// benchStreamingCell is the campaign cell as exp.RunCampaign runs it:
+// job log discarded, trace verified one-pass as it streams.
+func benchStreamingCell(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := fleetConfig(n, 42)
 		cfg.Horizon = rtime.FromMillis(benchCellHorizon)
-		cfg.EventQueue = q
 		cfg.DiscardJobResults = true
 		cfg.TraceSink = trace.NewStreamChecker()
 		if _, err := Run(cfg); err != nil {
@@ -64,12 +61,8 @@ func benchStreamingCell(b *testing.B, n int, q QueueMode) {
 func BenchmarkCampaignCellBaseline1k(b *testing.B)  { benchBaselineCell(b, 1_000) }
 func BenchmarkCampaignCellBaseline10k(b *testing.B) { benchBaselineCell(b, 10_000) }
 
-func BenchmarkCampaignCellStreaming1k(b *testing.B) {
-	benchStreamingCell(b, 1_000, AutoQueue)
-}
-func BenchmarkCampaignCellStreaming10k(b *testing.B) {
-	benchStreamingCell(b, 10_000, AutoQueue)
-}
+func BenchmarkCampaignCellStreaming1k(b *testing.B)  { benchStreamingCell(b, 1_000) }
+func BenchmarkCampaignCellStreaming10k(b *testing.B) { benchStreamingCell(b, 10_000) }
 
 // BenchmarkCampaignCellDisk100k is the fleet endpoint: at 100k tasks
 // the trace streams to the on-disk binary sink (the one-pass checker's
@@ -81,19 +74,12 @@ func BenchmarkCampaignCellDisk100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := fleetConfig(100_000, 42)
 		cfg.Horizon = rtime.FromMillis(benchCellHorizon)
-		cfg.EventQueue = AutoQueue
 		cfg.DiscardJobResults = true
 		cfg.TraceSink = trace.NewBinarySink(io.Discard)
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCampaignCellStreamingHeap10k isolates the wheel's share of
-// the win: same streaming cell, heap queues forced.
-func BenchmarkCampaignCellStreamingHeap10k(b *testing.B) {
-	benchStreamingCell(b, 10_000, ForceHeap)
 }
 
 // Test100kUnderMemoryCeiling runs a 100k-task SplitEDF simulation with
@@ -108,7 +94,6 @@ func Test100kUnderMemoryCeiling(t *testing.T) {
 		t.Skip("fleet-sized simulation")
 	}
 	cfg := fleetConfig(100_000, 42)
-	cfg.EventQueue = AutoQueue
 	cfg.DiscardJobResults = true
 
 	f, err := os.Create(filepath.Join(t.TempDir(), "trace.bin"))

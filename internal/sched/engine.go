@@ -117,15 +117,13 @@ type sim struct {
 	//rtlint:arena
 	free []int32
 
-	// The event calendar. ready is keyed by (prio, task, seq) — under
-	// FixedPriority the key is a rank, not an instant, so it stays a
-	// heap. The three *time* queues are Calendars: zero-valued they are
-	// plain heaps; init switches them to time wheels at fleet scale
-	// (Config.EventQueue), with bit-identical pop order either way.
+	// The event calendar. ready is keyed by (prio, task, seq), where
+	// prio is a rank under FixedPriority; the three time queues are
+	// keyed by instant.
 	ready     eventq.Heap
-	waking    eventq.Calendar
-	deadlines eventq.Calendar
-	releases  eventq.Calendar
+	waking    eventq.Heap
+	deadlines eventq.Heap
+	releases  eventq.Heap
 
 	// sink receives the execution trace as it happens (nil when neither
 	// RecordTrace nor TraceSink is set). pend is the engine-level
@@ -166,7 +164,6 @@ func (s *sim) init() {
 	s.free = make([]int32, 0, 2*n)
 
 	est := 0
-	var maxSpan rtime.Duration
 	for i := range cfg.Assignments {
 		a := &cfg.Assignments[i]
 		t := a.Task
@@ -206,22 +203,6 @@ func (s *sim) init() {
 		}
 		s.res.PerTask[t.ID] = &s.stats[i]
 		est += int(cfg.Horizon/t.Period) + 1
-		if span := rtime.Duration(rtime.MaxInstant(rtime.Instant(t.Period), rtime.Instant(t.Deadline))); span > maxSpan {
-			maxSpan = span
-		}
-	}
-	if cfg.EventQueue == ForceWheel || (cfg.EventQueue == AutoQueue && n >= wheelThreshold) {
-		// Every queued instant is within maxSpan of the simulation
-		// clock (next release ≤ now + period + jitter, deadline ≤
-		// release + D, wake ≤ now + budget ≤ now + D), so a ring
-		// spanning 2× that keeps steady-state events out of the
-		// overflow tier.
-		shift, bits := wheelGeometry(maxSpan + cfg.ReleaseJitter)
-		s.releases.InitWheel(shift, bits)
-		s.waking.InitWheel(shift, bits)
-		if s.abortPolicy {
-			s.deadlines.InitWheel(shift, bits)
-		}
 	}
 	for i := range cfg.Assignments {
 		// First release at 0; horizon is validated positive.
@@ -255,20 +236,6 @@ func (s *sim) init() {
 			s.info[i].rank = int64(r)
 		}
 	}
-}
-
-// wheelGeometry picks the time-wheel shape for a system whose queued
-// instants stay within span of the clock: 8192 buckets, granule grown
-// until the ring covers 2× span. Geometry only affects speed — pop
-// order is exact for any shape.
-func wheelGeometry(span rtime.Duration) (shift, bits uint) {
-	bits = 13
-	if span < 1 {
-		span = 1
-	}
-	for shift = 0; shift < 40 && int64(1)<<(shift+bits) < 2*int64(span); shift++ {
-	}
-	return shift, bits
 }
 
 // prioOf computes a job's dispatch key under the configured policy.

@@ -138,3 +138,53 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestHeapZeroAlloc gates the hotpath contract on the heap's warm
+// operations: with the entry array and handle table grown, push, min,
+// pop and remove-from-the-middle cycles must not allocate.
+func TestHeapZeroAlloc(t *testing.T) {
+	var h Heap
+	for i := int32(0); i < 96; i++ {
+		h.Push(Entry{Key: int64(i) * 3, H: i})
+	}
+	for h.Len() > 0 {
+		h.PopMin()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		h.Push(Entry{Key: 50, H: 3})
+		h.Push(Entry{Key: 51, H: 4})
+		h.Push(Entry{Key: 100_000, H: 95})
+		if h.Min().H != 3 {
+			t.Error("unexpected min")
+		}
+		h.Remove(4)
+		h.PopMin()
+		h.Remove(95)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm heap operations allocate %.1f times per run; the hotpath contract is 0", allocs)
+	}
+}
+
+// TestHandleTableGrowthIsLogarithmic pins the handle-table doubling in
+// Push. Job-indexed queues at fleet scale see monotonically growing
+// handles; a table grown only to fit each new handle would copy itself
+// once per push (65,536 allocations here, quadratic bytes), while
+// doubling needs O(log n) allocations for the table and the entry
+// array together.
+func TestHandleTableGrowthIsLogarithmic(t *testing.T) {
+	const n = 1 << 16
+	allocs := testing.AllocsPerRun(1, func() {
+		var h Heap
+		for i := int32(0); i < n; i++ {
+			h.Push(Entry{Key: int64(i), H: i})
+		}
+		if h.Len() != n {
+			t.Errorf("Len = %d, want %d", h.Len(), n)
+		}
+	})
+	t.Logf("%d pushes with increasing handles: %.0f allocations", n, allocs)
+	if allocs > 64 {
+		t.Fatalf("%d pushes with increasing handles allocate %.0f times; want O(log n), at most 64", n, allocs)
+	}
+}

@@ -139,36 +139,12 @@ type Config struct {
 	// CollectLatencies stores every job's response time per task,
 	// enabling Result.LatencyPercentile.
 	CollectLatencies bool
-	// EventQueue selects the event-calendar representation (default
-	// AutoQueue).
-	EventQueue QueueMode
 	// DiscardJobResults drops the per-job Result.Jobs log (the per-task
 	// statistics, miss counts, and benefit totals are still collected).
 	// At campaign scale the job log is the last O(jobs) allocation; the
 	// aggregates are what the campaign keeps anyway.
 	DiscardJobResults bool
 }
-
-// QueueMode selects the representation of the engine's time-keyed
-// event queues (releases, wake timers, deadline expiries).
-type QueueMode int
-
-const (
-	// AutoQueue uses binary heaps for small systems and switches the
-	// time queues to hierarchical time wheels (eventq.Calendar) from
-	// wheelThreshold tasks up. Both orders are bit-identical, so the
-	// choice is purely a performance trade.
-	AutoQueue QueueMode = iota
-	// ForceHeap keeps every queue a binary heap regardless of size.
-	ForceHeap
-	// ForceWheel uses time wheels for the time queues at any size.
-	ForceWheel
-)
-
-// wheelThreshold is the task count at which AutoQueue switches the
-// time queues to wheels: below it the heaps' cache locality wins,
-// above it heap depth (log n cache misses per event) dominates.
-const wheelThreshold = 512
 
 // validate checks the configuration ahead of a run; shared by the
 // engine and the retained reference dispatcher.
@@ -207,9 +183,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.OnMiss != ContinueLate && cfg.OnMiss != AbortAtDeadline {
 		return fmt.Errorf("sched: unknown miss policy %d", int(cfg.OnMiss))
-	}
-	if cfg.EventQueue != AutoQueue && cfg.EventQueue != ForceHeap && cfg.EventQueue != ForceWheel {
-		return fmt.Errorf("sched: unknown event queue mode %d", int(cfg.EventQueue))
 	}
 	if cfg.RecordTrace && cfg.TraceSink != nil {
 		return fmt.Errorf("sched: RecordTrace and TraceSink are mutually exclusive; pass a *trace.Trace as the sink to materialize")
